@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ertree/internal/backend"
@@ -144,7 +143,7 @@ type Config struct {
 	Telemetry *Telemetry
 	// Obs, if non-nil, is the self-monitor watching this engine: sessions
 	// register stall-watchdog heartbeats with it (start, per-iteration
-	// progress, end), and its sampler reads the engine's Gauges. Nil (the
+	// progress, end), and its sampler reads the engine's Counters. Nil (the
 	// default) costs one pointer test per session and nothing else.
 	Obs *obs.Monitor
 }
@@ -175,42 +174,12 @@ type Engine struct {
 	backends map[string]backend.Backend
 	drivers  map[string]driver.Driver
 
-	// backendSessions and driverSessions count admitted sessions per backend
-	// and driver name (the Stats attribution of mixed traffic).
-	bmu             sync.Mutex
+	// mu guards the engine's one counter value and the per-backend and
+	// per-driver session counts (the Stats attribution of mixed traffic).
+	mu              sync.Mutex
+	c               obs.Counters
 	backendSessions map[string]int64
 	driverSessions  map[string]int64
-
-	waiting     atomic.Int64
-	started     atomic.Int64
-	completed   atomic.Int64
-	deadlineCut atomic.Int64
-	rejected    atomic.Int64
-	failed      atomic.Int64
-	nodes       atomic.Int64
-	researches  atomic.Int64
-	probes      atomic.Int64
-	iterations  atomic.Int64
-
-	// Shed-by-cause breakdown of rejected: immediate refusals (no queue),
-	// queue-timeout expiries, and callers that cancelled while queued.
-	shedFull      atomic.Int64
-	shedTimeout   atomic.Int64
-	shedCancelled atomic.Int64
-
-	// Core-search aggregates, folded in once per session (see coreTotals).
-	serialTasks atomic.Int64
-	leafTasks   atomic.Int64
-	specPops    atomic.Int64
-	dropped     atomic.Int64
-	cutoffDrops atomic.Int64
-	heapOps     atomic.Int64
-	steals      atomic.Int64
-	stealFails  atomic.Int64
-	ttProbes    atomic.Int64
-	ttHits      atomic.Int64
-	ttStores    atomic.Int64
-	ttCutoffs   atomic.Int64
 }
 
 // name returns the engine's telemetry label.
@@ -221,21 +190,11 @@ func (e *Engine) name() string {
 	return "default"
 }
 
-// addCore folds a finished session's core-search counters into the engine's
-// aggregates.
-func (e *Engine) addCore(c *coreTotals) {
-	e.serialTasks.Add(c.serialTasks)
-	e.leafTasks.Add(c.leafTasks)
-	e.specPops.Add(c.specPops)
-	e.dropped.Add(c.dropped)
-	e.cutoffDrops.Add(c.cutoffDrops)
-	e.heapOps.Add(c.heapOps)
-	e.steals.Add(c.steals)
-	e.stealFails.Add(c.stealFails)
-	e.ttProbes.Add(c.ttProbes)
-	e.ttHits.Add(c.ttHits)
-	e.ttStores.Add(c.ttStores)
-	e.ttCutoffs.Add(c.ttCutoffs)
+// count folds d into the engine's counters.
+func (e *Engine) count(d obs.Counters) {
+	e.mu.Lock()
+	e.c.Add(d)
+	e.mu.Unlock()
 }
 
 // New creates an engine. The zero Config is usable: one worker, one
@@ -342,14 +301,6 @@ func (e *Engine) driverFor(name string) (driver.Driver, error) {
 	return d, nil
 }
 
-// countDriverSession attributes one admitted session to the root driver
-// resolving its iterations.
-func (e *Engine) countDriverSession(name string) {
-	e.bmu.Lock()
-	e.driverSessions[name]++
-	e.bmu.Unlock()
-}
-
 // backendFor resolves a per-session backend override ("" means the engine
 // default) to the prebuilt instance.
 func (e *Engine) backendFor(name string) (backend.Backend, error) {
@@ -362,14 +313,6 @@ func (e *Engine) backendFor(name string) (backend.Backend, error) {
 			ErrUnknownBackend, name, backend.NamesString())
 	}
 	return be, nil
-}
-
-// countBackendSession attributes one admitted session to the backend serving
-// it.
-func (e *Engine) countBackendSession(name string) {
-	e.bmu.Lock()
-	e.backendSessions[name]++
-	e.bmu.Unlock()
 }
 
 // Shed-cause labels: why an admission was refused. "full" is an immediate
@@ -395,14 +338,13 @@ func (e *Engine) acquire(ctx context.Context) error {
 	default:
 	}
 	if e.cfg.QueueTimeout <= 0 {
-		e.rejected.Add(1)
-		e.shedFull.Add(1)
+		e.count(obs.Counters{Rejected: 1, ShedFull: 1})
 		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
 		e.cfg.Telemetry.recordShed(e.name(), ShedFull)
 		return ErrBusy
 	}
-	e.waiting.Add(1)
-	defer e.waiting.Add(-1)
+	e.count(obs.Counters{Waiting: 1})
+	defer e.count(obs.Counters{Waiting: -1})
 	timer := time.NewTimer(e.cfg.QueueTimeout)
 	defer timer.Stop()
 	select {
@@ -410,42 +352,46 @@ func (e *Engine) acquire(ctx context.Context) error {
 		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
 		return nil
 	case <-timer.C:
-		e.rejected.Add(1)
-		e.shedTimeout.Add(1)
+		e.count(obs.Counters{Rejected: 1, ShedTimeout: 1})
 		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
 		e.cfg.Telemetry.recordShed(e.name(), ShedTimeout)
 		return ErrBusy
 	case <-ctx.Done():
-		e.rejected.Add(1)
-		e.shedCancelled.Add(1)
+		e.count(obs.Counters{Rejected: 1, ShedCancelled: 1})
 		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
 		e.cfg.Telemetry.recordShed(e.name(), ShedCancelled)
 		return ctx.Err()
 	}
 }
 
-func (e *Engine) release() { <-e.sem }
+// admit counts one admitted session: the slot it holds, the table aging tick
+// it causes, and the backend and driver serving it.
+func (e *Engine) admit(backendName, driverName string) {
+	e.mu.Lock()
+	e.c.Started++
+	e.c.InFlight++
+	if e.table != nil {
+		e.c.TableTicks++
+	}
+	e.backendSessions[backendName]++
+	e.driverSessions[driverName]++
+	e.mu.Unlock()
+}
 
-// Stats is a point-in-time snapshot of an engine's counters.
+// release frees an admitted session's slot.
+func (e *Engine) release() {
+	e.count(obs.Counters{InFlight: -1})
+	<-e.sem
+}
+
+// Stats is a point-in-time snapshot of an engine's counters: the counter set
+// itself, plus the pool, attribution and table details only /stats reports.
 type Stats struct {
-	Capacity    int   // session slots
-	Active      int   // sessions currently running
-	Waiting     int64 // requests queued for a slot
-	Started     int64 // sessions admitted
-	Completed   int64 // sessions that reached their full requested depth
-	DeadlineCut int64 // sessions cut short by their deadline
-	Rejected    int64 // admissions refused (queue timeout or caller gave up)
-	Failed      int64 // sessions that errored
-
-	// Rejected broken down by cause: "full" (immediate, no queue configured),
-	// "timeout" (queue wait expired), "cancelled" (caller gave up queued).
-	ShedFull      int64
-	ShedTimeout   int64
-	ShedCancelled int64
-	Nodes         int64 // total tree nodes generated across all sessions
-	Researches    int64 // wide-window re-searches across all sessions
-	Probes        int64 // root-driver null-window probes across all sessions
-	Iterations    int64 // completed deepening iterations across all sessions
+	// Capacity and Active describe the session pool, which engines created
+	// with a shared Pool share; InFlight counts this engine's sessions only.
+	Capacity int // session slots
+	Active   int // sessions currently holding a slot
+	obs.Counters
 
 	// Backend is the engine's default search backend; BackendSessions counts
 	// admitted sessions per backend actually used (per-request overrides make
@@ -456,70 +402,27 @@ type Stats struct {
 	Driver          string
 	DriverSessions  map[string]int64
 
-	// Core-search aggregates across all sessions.
-	SerialTasks int64 // serial-ER subtree work units
-	LeafTasks   int64 // frontier/terminal static evaluations
-	SpecPops    int64 // speculative-queue pops
-	Dropped     int64 // dead nodes discarded at pop time
-	CutoffDrops int64 // nodes cut off at pop time
-	HeapOps     int64 // problem-heap pushes + pops
-	Steals      int64 // sharded-heap tasks taken from another worker's shard
-	StealFails  int64 // steal sweeps that found every shard empty
-
-	// Transposition traffic as the searches saw it: session-level root-child
-	// probes plus the core serial tasks' probes.
-	TTProbes  int64
-	TTHits    int64
-	TTStores  int64
-	TTCutoffs int64 // searches answered by the table without searching
-
 	HasTable     bool
 	Table        tt.SharedStats
 	TableHitRate float64
-	TableFill    int
-	TableLen     int
 	// TableImpl names the table implementation ("striped" or "lockfree");
 	// TableGeneration is its current aging generation (bumped once per
-	// admitted session, wraps at 256).
+	// admitted session, wraps at 256; TableTicks does not wrap).
 	TableImpl       string
 	TableGeneration uint8
 }
 
-// Stats returns the engine's current counters. Counters are atomics; the
-// snapshot is approximate while sessions are running.
+// Stats returns the engine's current counters. The counter set is one
+// consistent snapshot; the table readings are taken just after it.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Capacity:      cap(e.sem),
-		Active:        len(e.sem),
-		Waiting:       e.waiting.Load(),
-		Started:       e.started.Load(),
-		Completed:     e.completed.Load(),
-		DeadlineCut:   e.deadlineCut.Load(),
-		Rejected:      e.rejected.Load(),
-		Failed:        e.failed.Load(),
-		ShedFull:      e.shedFull.Load(),
-		ShedTimeout:   e.shedTimeout.Load(),
-		ShedCancelled: e.shedCancelled.Load(),
-		Nodes:         e.nodes.Load(),
-		Researches:    e.researches.Load(),
-		Probes:        e.probes.Load(),
-		Iterations:    e.iterations.Load(),
-		SerialTasks:   e.serialTasks.Load(),
-		LeafTasks:     e.leafTasks.Load(),
-		SpecPops:      e.specPops.Load(),
-		Dropped:       e.dropped.Load(),
-		CutoffDrops:   e.cutoffDrops.Load(),
-		HeapOps:       e.heapOps.Load(),
-		Steals:        e.steals.Load(),
-		StealFails:    e.stealFails.Load(),
-		TTProbes:      e.ttProbes.Load(),
-		TTHits:        e.ttHits.Load(),
-		TTStores:      e.ttStores.Load(),
-		TTCutoffs:     e.ttCutoffs.Load(),
-		Backend:       e.cfg.Backend,
-		Driver:        e.cfg.Driver,
+		Capacity: cap(e.sem),
+		Active:   len(e.sem),
+		Counters: e.Counters(),
+		Backend:  e.cfg.Backend,
+		Driver:   e.cfg.Driver,
 	}
-	e.bmu.Lock()
+	e.mu.Lock()
 	if len(e.backendSessions) > 0 {
 		s.BackendSessions = make(map[string]int64, len(e.backendSessions))
 		for k, v := range e.backendSessions {
@@ -532,70 +435,32 @@ func (e *Engine) Stats() Stats {
 			s.DriverSessions[k] = v
 		}
 	}
-	e.bmu.Unlock()
+	e.mu.Unlock()
 	if e.table != nil {
 		s.HasTable = true
 		s.Table = e.table.Stats()
 		s.TableHitRate = e.table.HitRate()
-		s.TableFill = e.table.Fill()
-		s.TableLen = e.table.Len()
 		s.TableImpl = e.table.Impl()
 		s.TableGeneration = e.table.Generation()
 	}
 	return s
 }
 
+// Counters returns a copy of the engine's counter set, with the table's
+// sampled fill and capacity filled in. It takes one lock and allocates
+// nothing, so the self-monitor's sampler and exposition-time gauges poll it
+// freely.
+func (e *Engine) Counters() obs.Counters {
+	e.mu.Lock()
+	c := e.c
+	e.mu.Unlock()
+	if e.table != nil {
+		c.TableFill = int64(e.table.Fill())
+		c.TableLen = int64(e.table.Len())
+	}
+	return c
+}
+
 // Table exposes the engine's shared transposition table (nil when disabled);
 // tests use it to assert cross-session reuse.
 func (e *Engine) Table() tt.SharedTable { return e.table }
-
-// Waiting returns the number of requests currently queued for a session slot
-// — the admission queue depth. Cheaper than Stats() (one atomic load), so
-// exposition-time gauges and load-test samplers can poll it freely.
-func (e *Engine) Waiting() int64 { return e.waiting.Load() }
-
-// Gauges is the cheap subset of Stats the self-monitor samples: plain atomic
-// loads plus the table's sampled fill, no maps and no locks, so a 4 Hz
-// background sampler reads it without perturbing the serving path.
-type Gauges struct {
-	InFlight      int64 // sessions holding a slot
-	Waiting       int64 // admission queue depth
-	Sessions      int64 // admitted sessions (cumulative)
-	Iterations    int64 // completed deepening iterations (cumulative)
-	Probes        int64 // root-driver null-window probes (cumulative)
-	ShedFull      int64
-	ShedTimeout   int64
-	ShedCancelled int64
-	Steals        int64
-	StealFails    int64
-	TTProbes      int64
-	TTHits        int64
-	TTFill        int64
-	TTLen         int64
-	TTGeneration  int64 // current aging generation (wraps at 256)
-}
-
-// Gauges returns the engine's self-monitoring gauge snapshot. Safe for
-// concurrent use and cheap enough to poll at sampling rates.
-func (e *Engine) Gauges() Gauges {
-	g := Gauges{
-		InFlight:      int64(len(e.sem)),
-		Waiting:       e.waiting.Load(),
-		Sessions:      e.started.Load(),
-		Iterations:    e.iterations.Load(),
-		Probes:        e.probes.Load(),
-		ShedFull:      e.shedFull.Load(),
-		ShedTimeout:   e.shedTimeout.Load(),
-		ShedCancelled: e.shedCancelled.Load(),
-		Steals:        e.steals.Load(),
-		StealFails:    e.stealFails.Load(),
-		TTProbes:      e.ttProbes.Load(),
-		TTHits:        e.ttHits.Load(),
-	}
-	if e.table != nil {
-		g.TTFill = int64(e.table.Fill())
-		g.TTLen = int64(e.table.Len())
-		g.TTGeneration = int64(e.table.Generation())
-	}
-	return g
-}

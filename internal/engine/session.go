@@ -12,6 +12,7 @@ import (
 	"ertree/internal/core"
 	"ertree/internal/driver"
 	"ertree/internal/game"
+	"ertree/internal/obs"
 	"ertree/internal/tt"
 )
 
@@ -136,7 +137,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		return nil, err
 	}
 	defer e.release()
-	e.started.Add(1)
+	e.admit(be.Name(), drv.Name())
 	// Register with the stall watchdog: the self-monitor fires when a session
 	// makes no iteration progress within a multiple of its budget. Disabled
 	// (the default), this whole block is one nil test.
@@ -149,9 +150,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		beat = e.cfg.Obs.SessionStart(opts.Label, budget)
 		defer e.cfg.Obs.SessionEnd(beat)
 	}
-	e.countBackendSession(be.Name())
 	e.cfg.Telemetry.recordBackendSession(e.name(), be.Name())
-	e.countDriverSession(drv.Name())
 	e.cfg.Telemetry.recordDriverSession(e.name(), drv.Name())
 	if e.table != nil {
 		// One admitted session = one aging tick: entries untouched since
@@ -210,7 +209,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		an.Iterations = append(an.Iterations, it)
 		an.Move, an.Value, an.Depth = it.Move, it.Value, it.Depth
 		s.prev = it.Value
-		e.iterations.Add(1)
+		e.count(obs.Counters{Iterations: 1})
 		if beat >= 0 {
 			e.cfg.Obs.SessionProgress(beat)
 		}
@@ -222,22 +221,18 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		s.reorder()
 	}
 	an.Elapsed = time.Since(start)
-	an.Nodes = s.nodes
+	an.Nodes = s.tot.Nodes
 	if s.trace != nil {
 		an.Trace = s.trace.workers()
 	}
 	if len(an.Iterations) == 0 {
-		e.deadlineCut.Add(1)
 		s.finish(outcomeNoResult, an.Elapsed, 0, researches, probes)
 		return nil, ErrNoResult
 	}
 	an.Completed = an.Depth == maxDepth
 	outcome := outcomeDeadlineCut
 	if an.Completed {
-		e.completed.Add(1)
 		outcome = outcomeCompleted
-	} else {
-		e.deadlineCut.Add(1)
 	}
 	s.finish(outcome, an.Elapsed, an.Depth, researches, probes)
 	return an, nil
@@ -247,19 +242,22 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 // Telemetry. Called exactly once per admitted session, on every exit path.
 func (s *session) finish(outcome string, elapsed time.Duration, depth, researches, probes int) {
 	e := s.e
-	if outcome == outcomeFailed {
-		e.failed.Add(1)
+	d := obs.Counters{Researches: int64(researches), Probes: int64(probes), Totals: s.tot}
+	switch outcome {
+	case outcomeCompleted:
+		d.Completed = 1
+	case outcomeFailed:
+		d.Failed = 1
+	default: // deadline cut, with or without a completed iteration
+		d.DeadlineCut = 1
 	}
-	e.nodes.Add(s.nodes)
-	e.researches.Add(int64(researches))
-	e.probes.Add(int64(probes))
-	e.addCore(&s.core)
+	e.count(d)
 	tel := e.cfg.Telemetry
-	tel.recordSession(e.name(), outcome, elapsed, depth, researches, s.nodes)
+	tel.recordSession(e.name(), outcome, elapsed, depth, researches, s.tot.Nodes)
 	tel.recordDriverProbes(e.name(), s.drv.Name(), int64(probes))
-	tel.recordCore(e.name(), &s.core)
-	if e.table != nil {
-		tel.recordTable(e.name(), e.table)
+	tel.recordCore(e.name(), &d)
+	if tel != nil && e.table != nil {
+		tel.recordTable(e.name(), e.Counters(), e.table)
 	}
 }
 
@@ -274,8 +272,7 @@ type session struct {
 	order  []int           // search order (indices into kids)
 	scores []game.Value    // latest root-view score per child (bounds for non-best)
 	prev   game.Value      // previous iteration's value (aspiration center)
-	nodes  int64
-	core   coreTotals      // search work counters, flushed once at finish
+	tot    backend.Totals  // search work counters, flushed once at finish
 	hooks  *core.Hooks     // non-nil when the session is traced
 	trace  *traceCollector // collects worker telemetry for Analysis.Trace
 
@@ -306,8 +303,7 @@ func (s *session) observeWorker(wt core.WorkerTelemetry) {
 func (s *session) iterate(depth int) (Iteration, error) {
 	it := Iteration{Depth: depth}
 	start := time.Now()
-	nodes0 := s.nodes
-	steals0 := s.core.steals
+	nodes0, steals0 := s.tot.Nodes, s.tot.Steals
 	res, err := s.drv.Resolve(func(w game.Window) (int, game.Value, error) {
 		return s.searchRoot(depth, w)
 	}, s.prev)
@@ -317,8 +313,8 @@ func (s *session) iterate(depth int) (Iteration, error) {
 		return it, err
 	}
 	it.Move, it.Value = res.Move, res.Value
-	it.Nodes = s.nodes - nodes0
-	it.Steals = s.core.steals - steals0
+	it.Nodes = s.tot.Nodes - nodes0
+	it.Steals = s.tot.Steals - steals0
 	it.HeapPeak = int(s.heapPeak.Swap(0))
 	it.Elapsed = time.Since(start)
 	return it, nil
@@ -338,8 +334,7 @@ func (s *session) searchRoot(depth int, w game.Window) (bestIdx int, best game.V
 		Cancel:    s.cancel,
 		Hooks:     s.hooks,
 	})
-	s.nodes += resp.Totals.Nodes
-	s.core.addTotals(resp.Totals)
+	s.tot.Add(resp.Totals)
 	if err != nil {
 		return -1, 0, err
 	}

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"ertree/internal/backend"
+	"ertree/internal/obs"
 	"ertree/internal/randtree"
 	"ertree/internal/telemetry"
 	"ertree/internal/tt"
@@ -70,8 +72,8 @@ func TestTelemetryNilIsSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.recordSession("x", outcomeCompleted, time.Second, 3, 0, 10)
 	tel.recordRejection("x")
-	tel.recordCore("x", &coreTotals{serialTasks: 1})
-	tel.recordTable("x", tt.NewDefault(8, 0))
+	tel.recordCore("x", &obs.Counters{Totals: backend.Totals{SerialTasks: 1}})
+	tel.recordTable("x", obs.Counters{}, tt.NewDefault(8, 0))
 }
 
 // TestAnalyzeTraceCollectsWorkerSpans: a traced session returns merged
@@ -222,5 +224,46 @@ func TestStatsConcurrentSessions(t *testing.T) {
 	if int(completedSamples) != okCount || int(rejectedSamples) != rejected {
 		t.Fatalf("registry saw %v completed / %v rejected, engine saw %d / %d",
 			completedSamples, rejectedSamples, okCount, rejected)
+	}
+}
+
+// TestSampledTableTicksDoNotWrap: the self-monitor's tick count is the
+// engine's cumulative TableTicks, not the table's 8-bit aging generation, so
+// it reads every admitted session even after the generation wraps (300
+// sessions would read 300 mod 256 = 44 from the generation).
+func TestSampledTableTicksDoNotWrap(t *testing.T) {
+	mon := obs.New(obs.Config{CPUProfile: -1})
+	defer mon.Close()
+	e := New(Config{Workers: 1, TableBits: 8, Obs: mon})
+	mon.SetSource(func(s *obs.Sample) { s.Add(e.Counters()) })
+	tr := &randtree.Tree{Seed: 5, Degree: 3, Depth: 2, ValueRange: 100}
+	const sessions = 300
+	for i := 0; i < sessions; i++ {
+		if _, err := e.Analyze(context.Background(), tr.Root(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.Tick(time.Now())
+	samples := mon.Report().Samples
+	if got := samples[len(samples)-1].TableTicks; got != sessions {
+		t.Fatalf("sampled table ticks = %d after %d sessions, want %d", got, sessions, sessions)
+	}
+}
+
+// TestCountersAllocFree pins the sampler-facing accessor: one lock and a
+// struct copy, no allocation, with a table attached.
+func TestCountersAllocFree(t *testing.T) {
+	e := New(Config{Workers: 1, TableBits: 10})
+	tr := &randtree.Tree{Seed: 9, Degree: 3, Depth: 4, ValueRange: 100}
+	if _, err := e.Analyze(context.Background(), tr.Root(), 3); err != nil {
+		t.Fatal(err)
+	}
+	var c obs.Counters
+	allocs := testing.AllocsPerRun(200, func() { c = e.Counters() })
+	if allocs != 0 {
+		t.Fatalf("Counters allocates %.1f/op, want 0", allocs)
+	}
+	if c.Started != 1 || c.TableLen == 0 || c.Nodes == 0 {
+		t.Fatalf("counters not populated: %+v", c)
 	}
 }

@@ -74,7 +74,7 @@ func (d *ShedSpike) Check(v *View) []Anomaly {
 	if v.Samples < 2 || v.Span <= 0 {
 		return nil
 	}
-	n := v.Newest.Sheds() - v.Oldest.Sheds()
+	n := v.Newest.Rejected - v.Oldest.Rejected
 	rate := float64(n) / v.Span.Seconds()
 	if n < d.MinSheds || rate < d.MinRate {
 		return nil
@@ -125,8 +125,9 @@ func (d *ProbeStorm) Check(v *View) []Anomaly {
 }
 
 // TTThrash fires on generation churn with a falling hit rate: the table aged
-// MinGenerations times inside the window while the hit rate of the window's
-// newer half dropped MinHitDrop below the older half's. Aging alone is
+// MinGenerations times inside the window (counted by TableTicks, which does
+// not wrap like the table's own 8-bit generation) while the hit rate of the
+// window's newer half dropped MinHitDrop below the older half's. Aging alone is
 // healthy (one tick per admitted session); aging while hits collapse means
 // the working set no longer fits and replacement is evicting entries the
 // searches still need.
@@ -142,7 +143,7 @@ func (d *TTThrash) Check(v *View) []Anomaly {
 	if v.Samples < 3 {
 		return nil
 	}
-	gens := v.Newest.TTGenerations - v.Oldest.TTGenerations
+	gens := v.Newest.TableTicks - v.Oldest.TableTicks
 	if gens < d.MinGenerations {
 		return nil
 	}
@@ -159,7 +160,7 @@ func (d *TTThrash) Check(v *View) []Anomaly {
 	return []Anomaly{{
 		Kind: KindTTThrash,
 		Detail: fmt.Sprintf("tt hit rate fell %.2f→%.2f across %d aging ticks in %.1fs (fill %d/%d)",
-			oldRate, newRate, gens, v.Span.Seconds(), v.Newest.TTFill, v.Newest.TTLen),
+			oldRate, newRate, gens, v.Span.Seconds(), v.Newest.TableFill, v.Newest.TableLen),
 	}}
 }
 

@@ -1,6 +1,6 @@
-// Package obs is the engine's dependency-free self-monitoring subsystem: a
-// bounded ring of timestamped gauge snapshots sampled from the running
-// engine/serve stack, pluggable anomaly detectors that watch the ring for the
+// Package obs is the engine's self-monitoring subsystem and the home of its
+// one counter set (Counters): a bounded ring of timestamped snapshots of
+// those counters sampled from the running engine/serve stack, pluggable anomaly detectors that watch the ring for the
 // serving pathologies the literature warns about (MTD(f) probe storms,
 // admission shed spikes, transposition-table thrash, steal starvation, stalled
 // sessions), and automatic capture of pprof profiles at the moment an anomaly
@@ -27,36 +27,17 @@ import (
 	"ertree/internal/telemetry"
 )
 
-// Sample is one timestamped snapshot of the monitored gauges. Instantaneous
-// fields are point-in-time readings; the rest are cumulative counters, so
-// detectors difference two samples to get a windowed rate.
+// Sample is one timestamped snapshot of the monitored process: the runtime
+// gauges the monitor reads itself plus the engines' Counters, summed.
+// Detectors difference the cumulative counters of two samples to get a
+// windowed rate. A sample has no JSON tags, so /debug/obs names every field
+// exactly as /stats does.
 type Sample struct {
-	At time.Time `json:"at"`
-
-	// Instantaneous.
-	InFlight   int64  `json:"in_flight"`  // sessions holding an admission slot
-	Waiting    int64  `json:"waiting"`    // admission queue depth
-	Goroutines int64  `json:"goroutines"` // runtime.NumGoroutine
-	HeapAlloc  uint64 `json:"heap_alloc"` // bytes of live heap objects
-	TTFill     int64  `json:"tt_fill"`    // occupied table slots (sampled)
-	TTLen      int64  `json:"tt_len"`     // table capacity
-
-	// Cumulative.
-	Sessions      int64 `json:"sessions"`       // admitted sessions
-	Iterations    int64 `json:"iterations"`     // completed deepening iterations
-	Probes        int64 `json:"probes"`         // root-driver null-window probes
-	ShedFull      int64 `json:"shed_full"`      // immediate admission refusals
-	ShedTimeout   int64 `json:"shed_timeout"`   // queue waits that expired
-	ShedCancelled int64 `json:"shed_cancelled"` // callers that gave up queued
-	Steals        int64 `json:"steals"`         // sharded-heap steals
-	StealFails    int64 `json:"steal_fails"`    // steal sweeps finding nothing
-	TTProbes      int64 `json:"tt_probes"`      // shared-table probes
-	TTHits        int64 `json:"tt_hits"`        // shared-table hits
-	TTGenerations int64 `json:"tt_generations"` // table aging ticks
+	At         time.Time
+	Goroutines int64  // runtime.NumGoroutine
+	HeapAlloc  uint64 // bytes of live heap objects
+	Counters
 }
-
-// Sheds returns the cumulative shed count across all causes.
-func (s Sample) Sheds() int64 { return s.ShedFull + s.ShedTimeout + s.ShedCancelled }
 
 // Anomaly is one detector firing: what was detected, when, and which captured
 // profile (if any) holds the evidence.
@@ -222,9 +203,9 @@ func New(cfg Config) *Monitor {
 	return m
 }
 
-// SetSource installs the gauge-sampling callback the monitor invokes once per
-// tick. The callback fills the engine/serve fields of the sample in place;
-// the monitor adds the runtime gauges itself.
+// SetSource installs the sampling callback the monitor invokes once per tick.
+// The callback fills the sample's Counters in place (one Add per engine); the
+// monitor adds the runtime gauges itself.
 func (m *Monitor) SetSource(fn func(*Sample)) {
 	if m == nil {
 		return

@@ -7,17 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"ertree/internal/backend"
 	"ertree/internal/telemetry"
 )
 
-// tick drives the monitor with a synthetic sample at a synthetic time: set
-// the source to copy s (minus At), then Tick(at).
-func tick(m *Monitor, at time.Time, s Sample) {
-	m.SetSource(func(dst *Sample) {
-		at := dst.At
-		*dst = s
-		dst.At = at
-	})
+// tick drives the monitor with synthetic counters at a synthetic time: set
+// the source to copy c into the sample, then Tick(at).
+func tick(m *Monitor, at time.Time, c Counters) {
+	m.SetSource(func(dst *Sample) { dst.Counters = c })
 	m.Tick(at)
 }
 
@@ -84,7 +81,7 @@ func TestEnabledTickSteadyStateAllocFree(t *testing.T) {
 	var n int64
 	m.SetSource(func(s *Sample) {
 		n++
-		s.Sessions = n
+		s.Started = n
 	})
 	at := time.Now()
 	for i := 0; i < 64; i++ { // wrap the ring so append never grows again
@@ -120,8 +117,8 @@ func TestShedSpikeFiresAndCoolsDown(t *testing.T) {
 		Registry: reg,
 	})
 	base := time.Now()
-	tick(m, base, Sample{})
-	tick(m, base.Add(time.Second), Sample{ShedTimeout: 30, ShedFull: 12})
+	tick(m, base, Counters{})
+	tick(m, base.Add(time.Second), Counters{Rejected: 42, ShedTimeout: 30, ShedFull: 12})
 	if got := m.AnomalyTotal(); got != 1 {
 		t.Fatalf("AnomalyTotal = %d after a 42-shed second, want 1", got)
 	}
@@ -156,7 +153,7 @@ func TestShedSpikeFiresAndCoolsDown(t *testing.T) {
 	}
 	// Within the cooldown the same detector stays quiet even though the
 	// window still shows the spike.
-	tick(m, base.Add(2*time.Second), Sample{ShedTimeout: 60, ShedFull: 24})
+	tick(m, base.Add(2*time.Second), Counters{Rejected: 84, ShedTimeout: 60, ShedFull: 24})
 	if got := m.AnomalyTotal(); got != 1 {
 		t.Fatalf("AnomalyTotal = %d inside cooldown, want still 1", got)
 	}
@@ -165,17 +162,17 @@ func TestShedSpikeFiresAndCoolsDown(t *testing.T) {
 func TestProbeStormFires(t *testing.T) {
 	m := newTestMonitor(t, Config{})
 	base := time.Now()
-	tick(m, base, Sample{Iterations: 100, Probes: 100})
+	tick(m, base, Counters{Iterations: 100, Probes: 100})
 	// 10 iterations resolving 640 probes: budget-fallback territory.
-	tick(m, base.Add(time.Second), Sample{Iterations: 110, Probes: 740})
+	tick(m, base.Add(time.Second), Counters{Iterations: 110, Probes: 740})
 	r := m.Report()
 	if r.Totals[KindProbeStorm] != 1 {
 		t.Fatalf("totals = %v, want one %s", r.Totals, KindProbeStorm)
 	}
 	// Healthy convergence (≈2 probes/iteration) must not fire.
 	m2 := newTestMonitor(t, Config{})
-	tick(m2, base, Sample{})
-	tick(m2, base.Add(time.Second), Sample{Iterations: 100, Probes: 200})
+	tick(m2, base, Counters{})
+	tick(m2, base.Add(time.Second), Counters{Iterations: 100, Probes: 200})
 	if got := m2.AnomalyTotal(); got != 0 {
 		t.Fatalf("healthy probe traffic fired %d anomalies", got)
 	}
@@ -185,9 +182,9 @@ func TestTTThrashFires(t *testing.T) {
 	m := newTestMonitor(t, Config{Window: 4 * time.Second})
 	base := time.Now()
 	// Older half: 90% hit rate. Newer half: 30%, with 8 aging ticks.
-	tick(m, base, Sample{})
-	tick(m, base.Add(2*time.Second), Sample{TTProbes: 1000, TTHits: 900, TTGenerations: 4})
-	tick(m, base.Add(4*time.Second), Sample{TTProbes: 2000, TTHits: 1200, TTGenerations: 8})
+	tick(m, base, Counters{})
+	tick(m, base.Add(2*time.Second), Counters{TableTicks: 4, Totals: backend.Totals{TTProbes: 1000, TTHits: 900}})
+	tick(m, base.Add(4*time.Second), Counters{TableTicks: 8, Totals: backend.Totals{TTProbes: 2000, TTHits: 1200}})
 	r := m.Report()
 	if r.Totals[KindTTThrash] != 1 {
 		t.Fatalf("totals = %v, want one %s", r.Totals, KindTTThrash)
@@ -197,8 +194,8 @@ func TestTTThrashFires(t *testing.T) {
 func TestStealStarvationFires(t *testing.T) {
 	m := newTestMonitor(t, Config{})
 	base := time.Now()
-	tick(m, base, Sample{})
-	tick(m, base.Add(time.Second), Sample{Steals: 10, StealFails: 990})
+	tick(m, base, Counters{})
+	tick(m, base.Add(time.Second), Counters{Totals: backend.Totals{Steals: 10, StealFails: 990}})
 	r := m.Report()
 	if r.Totals[KindStealStarvation] != 1 {
 		t.Fatalf("totals = %v, want one %s", r.Totals, KindStealStarvation)
@@ -214,7 +211,7 @@ func TestStallWatchdogFiresOncePerSession(t *testing.T) {
 	defer m.SessionEnd(id)
 	// Well past 3× the 100ms budget with no progress heartbeat.
 	future := time.Now().Add(2 * time.Second)
-	tick(m, future, Sample{})
+	tick(m, future, Counters{})
 	r := m.Report()
 	if r.Totals[KindStall] != 1 {
 		t.Fatalf("totals = %v, want one %s", r.Totals, KindStall)
@@ -223,7 +220,7 @@ func TestStallWatchdogFiresOncePerSession(t *testing.T) {
 		t.Fatalf("stall anomaly request id = %q, want the session label", got)
 	}
 	// The slot is flagged: later ticks do not refire for the same session.
-	tick(m, future.Add(time.Second), Sample{})
+	tick(m, future.Add(time.Second), Counters{})
 	if got := m.AnomalyTotal(); got != 1 {
 		t.Fatalf("stall refired: AnomalyTotal = %d", got)
 	}
@@ -231,7 +228,7 @@ func TestStallWatchdogFiresOncePerSession(t *testing.T) {
 	m2 := newTestMonitor(t, Config{})
 	id2 := m2.SessionStart("req-live", 100*time.Millisecond)
 	m2.SessionProgress(id2)
-	tick(m2, time.Now().Add(100*time.Millisecond), Sample{})
+	tick(m2, time.Now().Add(100*time.Millisecond), Counters{})
 	m2.SessionEnd(id2)
 	if got := m2.AnomalyTotal(); got != 0 {
 		t.Fatalf("heartbeating session flagged as stalled: %d anomalies", got)
@@ -280,8 +277,8 @@ func TestStartStopBackgroundSampler(t *testing.T) {
 func TestWriteTextRendersState(t *testing.T) {
 	m := newTestMonitor(t, Config{})
 	base := time.Now()
-	tick(m, base, Sample{})
-	tick(m, base.Add(time.Second), Sample{ShedFull: 50, Sessions: 5, TTLen: 1024, TTFill: 100, TTProbes: 10, TTHits: 9})
+	tick(m, base, Counters{})
+	tick(m, base.Add(time.Second), Counters{Rejected: 50, ShedFull: 50, Started: 5, TableLen: 1024, TableFill: 100, Totals: backend.Totals{TTProbes: 10, TTHits: 9}})
 	var buf bytes.Buffer
 	m.WriteText(&buf)
 	out := buf.String()

@@ -82,20 +82,20 @@ func (m *Monitor) WriteText(w io.Writer) {
 		s := r.Samples[len(r.Samples)-1]
 		fmt.Fprintf(w, "latest: in-flight=%d waiting=%d goroutines=%d heap=%.1fMB\n",
 			s.InFlight, s.Waiting, s.Goroutines, float64(s.HeapAlloc)/(1<<20))
-		if s.TTLen > 0 {
+		if s.TableLen > 0 {
 			hitRate := 0.0
 			if s.TTProbes > 0 {
 				hitRate = float64(s.TTHits) / float64(s.TTProbes)
 			}
-			fmt.Fprintf(w, "table:  fill=%d/%d hit-rate=%.2f generations=%d\n",
-				s.TTFill, s.TTLen, hitRate, s.TTGenerations)
+			fmt.Fprintf(w, "table:  fill=%d/%d hit-rate=%.2f ticks=%d\n",
+				s.TableFill, s.TableLen, hitRate, s.TableTicks)
 		}
 		o := r.Samples[0]
 		span := s.At.Sub(o.At)
 		fmt.Fprintf(w, "ring(%s): sessions +%d iterations +%d probes +%d sheds +%d steals +%d/+%d failed\n",
 			span.Round(time.Millisecond),
-			s.Sessions-o.Sessions, s.Iterations-o.Iterations, s.Probes-o.Probes,
-			s.Sheds()-o.Sheds(), s.Steals-o.Steals, s.StealFails-o.StealFails)
+			s.Started-o.Started, s.Iterations-o.Iterations, s.Probes-o.Probes,
+			s.Rejected-o.Rejected, s.Steals-o.Steals, s.StealFails-o.StealFails)
 	}
 	fmt.Fprintln(w, "detectors:")
 	for _, d := range r.Detectors {

@@ -26,30 +26,11 @@ func newObsMonitor(cfg Config, s *Server) *obs.Monitor {
 	})
 }
 
-// obsSample is the monitor's gauge source: the shared admission pool plus
-// every engine's cheap atomic counters, summed — the table gauges sum across
-// the per-game tables, so fill/hit-rate deltas describe the server's whole
-// transposition footprint.
-func (s *Server) obsSample(sm *obs.Sample) {
-	sm.InFlight = int64(len(s.pool))
-	for _, e := range s.engines {
-		g := e.Gauges()
-		sm.Waiting += g.Waiting
-		sm.Sessions += g.Sessions
-		sm.Iterations += g.Iterations
-		sm.Probes += g.Probes
-		sm.ShedFull += g.ShedFull
-		sm.ShedTimeout += g.ShedTimeout
-		sm.ShedCancelled += g.ShedCancelled
-		sm.Steals += g.Steals
-		sm.StealFails += g.StealFails
-		sm.TTProbes += g.TTProbes
-		sm.TTHits += g.TTHits
-		sm.TTFill += g.TTFill
-		sm.TTLen += g.TTLen
-		sm.TTGenerations += g.TTGeneration
-	}
-}
+// obsSample is the monitor's source: every engine's counter set, summed.
+// In-flight sums to the shared pool's occupancy, and the table gauges sum
+// across the per-game tables, so fill/hit-rate deltas describe the server's
+// whole transposition footprint.
+func (s *Server) obsSample(sm *obs.Sample) { sm.Counters = s.counters() }
 
 // handleDebugObs serves the self-monitor's full JSON state: the sample ring,
 // detector states, recent anomalies, retained profiles, and live sessions.

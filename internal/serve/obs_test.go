@@ -58,8 +58,8 @@ type obsReportWire struct {
 	AnomalyTotal int64            `json:"anomaly_total"`
 	Totals       map[string]int64 `json:"totals"`
 	Samples      []struct {
-		Sessions int64 `json:"sessions"`
-		ShedFull int64 `json:"shed_full"`
+		Started  int64 `json:"Started"`
+		ShedFull int64 `json:"ShedFull"`
 	} `json:"samples"`
 	Detectors []struct {
 		Name  string `json:"name"`
@@ -107,7 +107,7 @@ func TestDebugObsRingSamples(t *testing.T) {
 	for {
 		var rep obsReportWire
 		getJSON(t, client, ts.URL+"/debug/obs", http.StatusOK, &rep)
-		if rep.Enabled && len(rep.Samples) > 0 && rep.Samples[len(rep.Samples)-1].Sessions >= 1 {
+		if rep.Enabled && len(rep.Samples) > 0 && rep.Samples[len(rep.Samples)-1].Started >= 1 {
 			if len(rep.Detectors) != 5 {
 				t.Fatalf("detector states = %+v, want the 5 defaults", rep.Detectors)
 			}

@@ -165,7 +165,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(len(pool)) })
 	reg.GaugeFunc("engine_pool_waiting",
 		"Requests queued for a session slot across all games (admission queue depth).",
-		func() float64 { return float64(s.queueDepth()) })
+		func() float64 { return float64(s.counters().Waiting) })
 	reg.GaugeFunc("process_uptime_seconds",
 		"Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -540,14 +540,14 @@ type tracedAnalysisJSON struct {
 	Analysis    analysisJSON    `json:"analysis"`
 }
 
-// queueDepth sums the engines' admission-queue occupancy: how many requests
-// are waiting for one of the shared session slots right now.
-func (s *Server) queueDepth() int64 {
-	var n int64
+// counters sums the engines' counter sets: the server-wide view /healthz,
+// /stats and the pool gauges read.
+func (s *Server) counters() obs.Counters {
+	var c obs.Counters
 	for _, e := range s.engines {
-		n += e.Waiting()
+		c.Add(e.Counters())
 	}
-	return n
+	return c
 }
 
 // healthzJSON is the /healthz body: enough identity and load state for a
@@ -582,6 +582,7 @@ type healthzTTJSON struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	c := s.counters()
 	out := healthzJSON{
 		Status:    "ok",
 		UptimeMS:  time.Since(s.start).Milliseconds(),
@@ -589,30 +590,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Backend:   s.defaultBackend,
 		Driver:    s.defaultDriver,
 		TableImpl: "none",
-		InFlight:  len(s.pool),
+		InFlight:  int(c.InFlight),
 		Capacity:  cap(s.pool),
-		Waiting:   s.queueDepth(),
+		Waiting:   c.Waiting,
 		Anomalies: s.obs.AnomalyTotal(),
 	}
-	var ttProbes, ttHits int64
 	for _, e := range s.engines {
-		t := e.Table()
-		if t == nil {
-			continue
-		}
-		if out.TT == nil {
-			out.TT = &healthzTTJSON{Impl: t.Impl()}
+		if t := e.Table(); t != nil {
 			out.TableImpl = t.Impl()
+			out.TT = &healthzTTJSON{
+				Impl:       t.Impl(),
+				Fill:       c.TableFill,
+				Len:        c.TableLen,
+				Generation: c.TableTicks,
+			}
+			if c.TTProbes > 0 {
+				out.TT.HitRate = float64(c.TTHits) / float64(c.TTProbes)
+			}
+			break
 		}
-		g := e.Gauges()
-		out.TT.Fill += g.TTFill
-		out.TT.Len += g.TTLen
-		out.TT.Generation += g.TTGeneration
-		ttProbes += g.TTProbes
-		ttHits += g.TTHits
-	}
-	if out.TT != nil && ttProbes > 0 {
-		out.TT.HitRate = float64(ttHits) / float64(ttProbes)
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -633,7 +629,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.slo.maybeTick()
 	out := statsJSON{
 		UptimeMS:    time.Since(s.start).Milliseconds(),
-		Waiting:     s.queueDepth(),
 		SLO:         s.slo.snapshot(),
 		AnswerCache: s.cache.stats(),
 		Games:       make(map[string]engine.Stats, len(s.engines)),
@@ -642,6 +637,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := e.Stats()
 		out.Capacity = st.Capacity // shared pool: same for every engine
 		out.Active = st.Active
+		out.Waiting += st.Waiting
 		out.Games[name] = st
 	}
 	s.writeJSON(w, http.StatusOK, out)

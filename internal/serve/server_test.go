@@ -218,3 +218,59 @@ func TestTerminalPositionRejected(t *testing.T) {
 	url := fmt.Sprintf("%s/bestmove?game=ttt&moves=%s&depth=3", ts.URL, "0,2,0,1,0")
 	getJSON(t, client, url, http.StatusUnprocessableEntity, nil)
 }
+
+// TestStatsKeepsBenchmarkFields guards the /stats shape the repository
+// benchmark (erbench, its own module, outside `go test ./...`) decodes: the
+// answer-cache counters and these 13 per-game keys, the latter named by
+// their Go field names (encoding/json matches keys case-insensitively, which
+// is how the benchmark's untagged fields read both). Renaming a counter must
+// fail here, not silently zero a benchmark metric.
+func TestStatsKeepsBenchmarkFields(t *testing.T) {
+	ts := testServer(t, Config{Workers: 1, MaxConcurrent: 2, TableBits: 12, CacheSize: 8})
+	client := &http.Client{Timeout: 10 * time.Second}
+	getJSON(t, client, ts.URL+"/bestmove?game=connect4&depth=6&budget_ms=5000", http.StatusOK, nil)
+
+	var raw struct {
+		AnswerCache map[string]json.RawMessage            `json:"answer_cache"`
+		Games       map[string]map[string]json.RawMessage `json:"games"`
+	}
+	getJSON(t, client, ts.URL+"/stats", http.StatusOK, &raw)
+	for _, k := range []string{"hits", "misses", "coalesced"} {
+		if _, ok := raw.AnswerCache[k]; !ok {
+			t.Errorf("/stats answer_cache has no %q key", k)
+		}
+	}
+	for _, k := range []string{
+		"Backend", "Driver", "TableImpl",
+		"Nodes", "Iterations", "Researches", "HeapOps",
+		"TTProbes", "TTHits", "TTStores", "TTCutoffs",
+		"TableFill", "TableLen",
+	} {
+		if _, ok := raw.Games["connect4"][k]; !ok {
+			t.Errorf("/stats games.connect4 has no %q key", k)
+		}
+	}
+
+	// The same field set the benchmark declares, decoded the same way.
+	var st struct {
+		AnswerCache struct {
+			Hits, Misses, Coalesced int64
+		} `json:"answer_cache"`
+		Games map[string]struct {
+			Backend, Driver, TableImpl string
+			Nodes, Iterations          int64
+			Researches, HeapOps        int64
+			TTProbes, TTHits           int64
+			TTStores, TTCutoffs        int64
+			TableFill, TableLen        int64
+		} `json:"games"`
+	}
+	getJSON(t, client, ts.URL+"/stats", http.StatusOK, &st)
+	g := st.Games["connect4"]
+	if g.Nodes == 0 || g.Iterations == 0 || g.TTProbes == 0 || g.TableLen == 0 {
+		t.Fatalf("benchmark-read counters are zero after a served search: %+v", g)
+	}
+	if g.Backend == "" || g.Driver == "" || g.TableImpl == "" || st.AnswerCache.Misses != 1 {
+		t.Fatalf("benchmark-read labels or cache counters missing: %+v cache %+v", g, st.AnswerCache)
+	}
+}
